@@ -247,9 +247,10 @@ class AqpEngine {
   /// throughput estimate (EWMA-corrected `rows_per_second`), then runs the
   /// diagnosed pipeline on it *under wall-clock enforcement*: a
   /// deadline-carrying CancellationToken is threaded through every parallel
-  /// region, and when the deadline fires mid-bootstrap the engine returns a
-  /// degraded result (CI from the K' < K completed replicates,
-  /// `deadline_hit = true`, diagnosis skipped) instead of overrunning.
+  /// region, and when the deadline fires the engine returns a degraded
+  /// result instead of overrunning: `deadline_hit = true`, diagnosis not
+  /// run, and a CI from the K' completed replicates — K' < K when the trip
+  /// lands mid-bootstrap, K' = K when it lands after the bootstrap units.
   /// Returns kDeadlineExceeded only when not even a minimal answer (theta +
   /// 2 replicates) finished in time. Falls back to the smallest sample when
   /// none fits the budget.

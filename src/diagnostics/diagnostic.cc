@@ -188,19 +188,23 @@ Result<DiagnosticReport> RunDiagnostic(const Table& sample,
 
     RngStreamFactory size_streams = streams.Substream(size_index);
     SubsampleSlots slots(p);
-    ParallelFor(runtime, 0, p, 1, [&](int64_t jb, int64_t je) {
-      ScopedSpan span(runtime.tracer(), "diagnostic");
-      for (int64_t j = jb; j < je; ++j) {
-        Table subsample = sample.SliceRows(j * b, (j + 1) * b);
-        Result<double> theta =
-            ExecutePlainAggregate(subsample, query, subsample_scale);
-        Rng subsample_rng = size_streams.Stream(static_cast<uint64_t>(j));
-        Result<ConfidenceInterval> ci = estimator.Estimate(
-            subsample, query, subsample_scale, config.alpha, subsample_rng);
-        if (!theta.ok() || !ci.ok()) continue;  // Degenerate subsample.
-        slots.Set(j, *theta, ci->half_width);
-      }
-    });
+    ParallelForStats run =
+        ParallelFor(runtime, 0, p, 1, [&](int64_t jb, int64_t je) {
+          ScopedSpan span(runtime.tracer(), "diagnostic");
+          for (int64_t j = jb; j < je; ++j) {
+            Table subsample = sample.SliceRows(j * b, (j + 1) * b);
+            Result<double> theta =
+                ExecutePlainAggregate(subsample, query, subsample_scale);
+            Rng subsample_rng = size_streams.Stream(static_cast<uint64_t>(j));
+            Result<ConfidenceInterval> ci = estimator.Estimate(
+                subsample, query, subsample_scale, config.alpha, subsample_rng);
+            if (!theta.ok() || !ci.ok()) continue;  // Degenerate subsample.
+            slots.Set(j, *theta, ci->half_width);
+          }
+        });
+    // A region cut short by cancellation left subsamples unrun: a verdict
+    // from whichever ones finished in time would depend on scheduling.
+    if (run.cancelled) return runtime.token().CheckCancelled("diagnostic");
     report.total_subqueries += p;
 
     std::vector<double> thetas;       // t̂_ij
@@ -325,38 +329,43 @@ Result<DiagnosticReport> RunDiagnosticConsolidated(
 
     RngStreamFactory size_streams = streams.Substream(size_index);
     SubsampleSlots slots(p);
-    ParallelFor(runtime, 0, p, 1, [&](int64_t jb, int64_t je) {
-      ScopedSpan span(runtime.tracer(), "diagnostic");
-      for (int64_t j = jb; j < je; ++j) {
-        size_t first = bounds[static_cast<size_t>(j)];
-        size_t last = bounds[static_cast<size_t>(j) + 1];
-        // Slice of the prepared data belonging to this subsample. Dense
-        // prepared queries slice to dense sub-queries (every row of the
-        // subsample passes); the row ids themselves are never consumed by
-        // the estimators, only the passing count and values.
-        PreparedQuery sub;
-        sub.table_rows = b;
-        if (prepared.all_rows) {
-          sub.all_rows = true;
-        } else {
-          sub.rows.assign(prepared.rows.begin() + static_cast<int64_t>(first),
-                          prepared.rows.begin() + static_cast<int64_t>(last));
-        }
-        if (!prepared.values.empty()) {
-          sub.values.assign(
-              prepared.values.begin() + static_cast<int64_t>(first),
-              prepared.values.begin() + static_cast<int64_t>(last));
-        }
-        Result<double> theta =
-            ComputeAggregate(sub, query.aggregate, subsample_scale);
-        Rng subsample_rng = size_streams.Stream(static_cast<uint64_t>(j));
-        Result<ConfidenceInterval> ci = estimator.EstimateFromPrepared(
-            sub, query.aggregate, subsample_scale, config.alpha,
-            subsample_rng);
-        if (!theta.ok() || !ci.ok()) continue;
-        slots.Set(j, *theta, ci->half_width);
-      }
-    });
+    ParallelForStats run =
+        ParallelFor(runtime, 0, p, 1, [&](int64_t jb, int64_t je) {
+          ScopedSpan span(runtime.tracer(), "diagnostic");
+          for (int64_t j = jb; j < je; ++j) {
+            size_t first = bounds[static_cast<size_t>(j)];
+            size_t last = bounds[static_cast<size_t>(j) + 1];
+            // Slice of the prepared data belonging to this subsample. Dense
+            // prepared queries slice to dense sub-queries (every row of the
+            // subsample passes); the row ids themselves are never consumed by
+            // the estimators, only the passing count and values.
+            PreparedQuery sub;
+            sub.table_rows = b;
+            if (prepared.all_rows) {
+              sub.all_rows = true;
+            } else {
+              sub.rows.assign(
+                  prepared.rows.begin() + static_cast<int64_t>(first),
+                  prepared.rows.begin() + static_cast<int64_t>(last));
+            }
+            if (!prepared.values.empty()) {
+              sub.values.assign(
+                  prepared.values.begin() + static_cast<int64_t>(first),
+                  prepared.values.begin() + static_cast<int64_t>(last));
+            }
+            Result<double> theta =
+                ComputeAggregate(sub, query.aggregate, subsample_scale);
+            Rng subsample_rng = size_streams.Stream(static_cast<uint64_t>(j));
+            Result<ConfidenceInterval> ci = estimator.EstimateFromPrepared(
+                sub, query.aggregate, subsample_scale, config.alpha,
+                subsample_rng);
+            if (!theta.ok() || !ci.ok()) continue;
+            slots.Set(j, *theta, ci->half_width);
+          }
+        });
+    // A region cut short by cancellation left subsamples unrun: a verdict
+    // from whichever ones finished in time would depend on scheduling.
+    if (run.cancelled) return runtime.token().CheckCancelled("diagnostic");
     report.total_subqueries += p;
 
     std::vector<double> thetas;

@@ -80,6 +80,9 @@ struct DiagnosticReport {
 /// The p independent subsample computations (θ plus ξ's estimate) fan out on
 /// `runtime` (§5.3.2); subsample j always uses the RNG stream keyed by j, so
 /// the report is identical at every thread count for a fixed `rng` state.
+/// When `runtime`'s token stops a fan-out short, the run returns the
+/// token's kDeadlineExceeded/kCancelled status rather than a verdict read
+/// from the subsamples that happened to finish.
 Result<DiagnosticReport> RunDiagnostic(const Table& sample,
                                        const QuerySpec& query,
                                        const ErrorEstimator& estimator,
@@ -95,6 +98,7 @@ Result<DiagnosticReport> RunDiagnostic(const Table& sample,
 /// evaluation. Statistically identical to RunDiagnostic (bit-identical for
 /// deterministic estimators such as closed forms); requires the estimator
 /// to implement EstimateFromPrepared, else falls back to RunDiagnostic.
+/// Cancellation behaves as in RunDiagnostic.
 ///
 /// `shared_prepared` (may be null) supplies an already-prepared scan for
 /// exactly this (sample, query) pair — e.g. from a cross-request shared

@@ -22,10 +22,6 @@ namespace {
 constexpr uint64_t kBootstrapStreamSpace = 0;
 constexpr uint64_t kDiagnosticStreamSpace = 1;
 
-/// Bootstrap replicates per parallel task (see kReplicateGrain in
-/// exec/executor.cc for the trade-off).
-constexpr int kBootstrapChunk = 4;
-
 /// Replicate accumulators for one resampled estimate group (a chunk of the
 /// full-sample bootstrap replicates, or one diagnostic subsample's
 /// replicates). Each replicate owns the RNG stream keyed by its global
@@ -222,13 +218,16 @@ Result<SingleScanResult> RunSingleScanPipeline(
 
   std::vector<std::function<void()>> units;
   // Bootstrap replicate chunks over the full passing set (largest units
-  // first, so the dynamic scheduler balances them).
-  for (int kb = 0; kb < bootstrap_replicates; kb += kBootstrapChunk) {
-    int ke = std::min(kb + kBootstrapChunk, bootstrap_replicates);
+  // first, so the dynamic scheduler balances them). Unit u owns replicates
+  // [u*kReplicateGrain, min(K, (u+1)*kReplicateGrain)), the same geometry
+  // as the two-phase multi-resample fan-out.
+  for (int64_t kb = 0; kb < bootstrap_replicates; kb += kReplicateGrain) {
+    int64_t ke =
+        std::min<int64_t>(kb + kReplicateGrain, bootstrap_replicates);
     units.push_back([&, kb, ke] {
       ScopedSpan span(tracer, "resample");
       ReplicateGroup group(bootstrap_streams, static_cast<uint64_t>(kb),
-                           ke - kb, kind, n);
+                           static_cast<int>(ke - kb), kind, n);
       group.AddBlock(values, passing);
       group.FinalizeInto(kind, sample_scale,
                          bootstrap_slots.data() + kb,
@@ -281,10 +280,6 @@ Result<SingleScanResult> RunSingleScanPipeline(
           units[static_cast<size_t>(u)]();
         }
       });
-  // Degraded when cancelled mid-fan-out or when fault-injected tasks were
-  // lost past their retries: finalize from whatever completed.
-  bool degraded = run.cancelled || run.chunks_lost > 0;
-
   // --- Finalize: answer + CI. ----------------------------------------------
   SingleScanResult result;
   result.theta = *theta;
@@ -293,13 +288,14 @@ Result<SingleScanResult> RunSingleScanPipeline(
   // Bootstrap replicate chunks sit at the low unit indices; a lost unit in
   // that range maps back to exactly which replicates died. Lost diagnostic
   // units surface through diagnostic_complete instead.
-  int num_bootstrap_units =
-      (bootstrap_replicates + kBootstrapChunk - 1) / kBootstrapChunk;
+  int64_t num_bootstrap_units =
+      (bootstrap_replicates + kReplicateGrain - 1) / kReplicateGrain;
   for (int64_t u : run.lost_units) {
     if (u >= num_bootstrap_units) continue;
-    int kb = static_cast<int>(u) * kBootstrapChunk;
-    int ke = std::min(kb + kBootstrapChunk, bootstrap_replicates);
-    result.replicates_lost += ke - kb;
+    int64_t kb = u * kReplicateGrain;
+    int64_t ke =
+        std::min<int64_t>(kb + kReplicateGrain, bootstrap_replicates);
+    result.replicates_lost += static_cast<int>(ke - kb);
   }
   std::vector<double> bootstrap_thetas;
   bootstrap_thetas.reserve(bootstrap_slots.size());
@@ -319,6 +315,13 @@ Result<SingleScanResult> RunSingleScanPipeline(
     return ci.status();
   }
   result.ci = *ci;
+  if (run.cancelled) {
+    // The trip left the tail of the unit list unrun, and that tail is
+    // diagnostic work: the verdict is not run. One read from whichever
+    // subsamples finished in time would depend on scheduling.
+    result.diagnostic_complete = false;
+    return result;
+  }
 
   // --- Finalize: diagnostic stats per size. --------------------------------
   // Covers the remainder of the pipeline (per-size stats + Algorithm 1's
@@ -337,8 +340,8 @@ Result<SingleScanResult> RunSingleScanPipeline(
       half_widths.push_back(out.half_width);
     }
     if (thetas.size() < 10) {
-      if (degraded) {
-        // Deadline/lost work starved this size: the diagnostic verdict is
+      if (run.chunks_lost > 0) {
+        // Lost work starved this size: the diagnostic verdict is
         // unavailable, but the answer + CI above still stand.
         result.diagnostic_complete = false;
         result.diagnostic.accepted = false;

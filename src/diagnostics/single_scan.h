@@ -34,9 +34,11 @@ struct SingleScanResult {
   /// result is the graceful-degradation output (CI from the completed
   /// replicates).
   bool cancelled = false;
-  /// False when too few diagnostic subsamples completed for Algorithm 1's
-  /// verdict to be meaningful; `diagnostic.accepted` stays false and the
-  /// caller should treat the diagnostic as not run (not as a rejection).
+  /// False when a cancellation stopped the fan-out (the diagnostic units
+  /// trail the bootstrap units, so some never ran) or when lost tasks left
+  /// a size class below its 10-subsample floor; `diagnostic.accepted` stays
+  /// false and the caller should treat the diagnostic as not run (not as a
+  /// rejection).
   bool diagnostic_complete = true;
   /// What the fan-out region actually executed (chunk/retry/loss
   /// accounting); the engine surfaces this in QueryProfile.

@@ -99,7 +99,8 @@ struct PreparedQuery {
 /// chunk's pass over the prepared values amortizes across several
 /// replicates' weight draws, small enough that K = 100 still splits across
 /// a pool. Public because it defines the fault-injection unit geometry of
-/// the bootstrap fan-out: chunk (unit) c owns replicates
+/// the bootstrap fan-out (here and in the single-scan pipeline, whose
+/// replicate units lead its task list): chunk (unit) c owns replicates
 /// [c*grain, min(K, (c+1)*grain)) — what tests and the chaos gate arm
 /// against.
 inline constexpr int64_t kReplicateGrain = 4;

@@ -5,6 +5,7 @@
 #include "diagnostics/diagnostic.h"
 #include "estimation/bootstrap.h"
 #include "estimation/closed_form.h"
+#include "runtime/cancellation.h"
 #include "sampling/sampler.h"
 #include "storage/table.h"
 #include "util/random.h"
@@ -323,6 +324,66 @@ TEST(ConsolidatedDiagnosticTest, ErrorPathsMatchReference) {
                                          closed, sample.population_rows,
                                          config, rng)
                    .ok());
+}
+
+TEST(DiagnosticCancellationTest, LateTripYieldsNoVerdict) {
+  // The token trips while the last size class runs, after every class has
+  // passed its 10-subsample floor. A verdict read from the subsamples that
+  // happened to finish would depend on timing; the run must report the
+  // cancellation instead, on both implementations.
+  class CancellingEstimator final : public ErrorEstimator {
+   public:
+    CancellingEstimator(CancellationToken token, int trip_at)
+        : token_(std::move(token)), trip_at_(trip_at) {}
+    std::string name() const override { return "cancelling"; }
+    bool Applicable(const QuerySpec&) const override { return true; }
+    Result<ConfidenceInterval> Estimate(const Table& sample,
+                                        const QuerySpec& query,
+                                        double scale_factor, double alpha,
+                                        Rng& rng) const override {
+      Tick();
+      return closed_.Estimate(sample, query, scale_factor, alpha, rng);
+    }
+    Result<ConfidenceInterval> EstimateFromPrepared(
+        const PreparedQuery& prepared, const AggregateSpec& aggregate,
+        double scale_factor, double alpha, Rng& rng) const override {
+      Tick();
+      return closed_.EstimateFromPrepared(prepared, aggregate, scale_factor,
+                                          alpha, rng);
+    }
+
+   private:
+    void Tick() const {
+      if (++calls_ == trip_at_) token_.Cancel();
+    }
+    ClosedFormEstimator closed_;
+    CancellationToken token_;
+    int trip_at_;
+    mutable int calls_ = 0;
+  };
+  auto population = MakeColumnTable("g", 100000, 44, DrawGaussian);
+  Sample sample = DrawSample(population, 12000, 45);
+  DiagnosticConfig config;
+  config.num_subsamples = 40;  // 3 sizes x 40 subsamples = 120 estimates.
+  QuerySpec q = MakeQuery("g", AggregateKind::kAvg);
+  // Serial runtime: the token is polled between subsamples, so the trip at
+  // estimate 100 leaves size 3 with about 20 of its 40 subsamples done.
+  for (bool consolidated : {false, true}) {
+    CancellationToken token = CancellationToken::Cancellable();
+    ExecRuntime runtime = ExecRuntime().WithToken(token);
+    CancellingEstimator estimator(token, 100);
+    Rng rng(46);
+    Result<DiagnosticReport> report =
+        consolidated
+            ? RunDiagnosticConsolidated(*sample.data, q, estimator,
+                                        sample.population_rows, config, rng,
+                                        runtime)
+            : RunDiagnostic(*sample.data, q, estimator,
+                            sample.population_rows, config, rng, runtime);
+    ASSERT_TRUE(token.CancelRequested()) << consolidated;
+    EXPECT_EQ(report.status().code(), StatusCode::kCancelled)
+        << consolidated << ": " << report.status().ToString();
+  }
 }
 
 }  // namespace
